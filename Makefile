@@ -17,7 +17,7 @@ lint:
 	go run ./cmd/chollint -time ./...
 
 # Tier-1 gate (ROADMAP.md): build + vet + chollint + race-enabled tests +
-# cholbench smoke.
+# perfbench's tiny golden pass + cholbench smoke.
 verify:
 	./scripts/verify.sh
 

@@ -48,25 +48,16 @@ type group struct {
 	NB   int
 }
 
-// dagGroups enumerates the (kind, nb) pairs present in the DAG, ordered by
-// size first (coarse nb = 0 groups leading, in d.Kinds() order) then kind, so
-// uniform DAGs reduce to the historical per-kind variable layout.
+// dagGroups lists the DAG's (kind, nb) census groups and their task counts,
+// ordered by size first (coarse nb = 0 groups leading, in d.Kinds() order)
+// then kind, so uniform DAGs reduce to the historical per-kind variable
+// layout.
 func dagGroups(d *graph.DAG) ([]group, []float64) {
-	kinds := d.Kinds()
-	nbs := d.NBs()
-	count := make(map[group]float64, len(kinds)*len(nbs))
-	for _, t := range d.Tasks {
-		count[group{t.Kind, t.NB}]++
-	}
-	gs := make([]group, 0, len(kinds)*len(nbs))
-	cs := make([]float64, 0, len(kinds)*len(nbs))
-	for _, nb := range nbs {
-		for _, k := range kinds {
-			if c := count[group{k, nb}]; c > 0 {
-				gs = append(gs, group{k, nb})
-				cs = append(cs, c)
-			}
-		}
+	census := d.Census()
+	gs := make([]group, len(census))
+	cs := make([]float64, len(census))
+	for i, g := range census {
+		gs[i], cs[i] = group{g.Kind, g.NB}, float64(g.Count)
 	}
 	return gs, cs
 }

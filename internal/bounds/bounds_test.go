@@ -311,3 +311,29 @@ func TestComputeAllSizesQuick(t *testing.T) {
 		prevMixed = g
 	}
 }
+
+// TestMergeSingleKeepsBounds checks that merging a single mixed-tile DAG
+// leaves its DAG-generic bounds unchanged: Merge must carry every task's
+// tile size, or the fine tasks are priced at the coarse reference size and
+// the "lower" bound overshoots.
+func TestMergeSingleKeepsBounds(t *testing.T) {
+	p := platform.MirageExtended()
+	p.Model = platform.ModelScaled
+	d := graph.CholeskySplit(8, 4, 2, platform.TileNB)
+	m := graph.Merge(d)
+	for name, bound := range map[string]func(*graph.DAG, *platform.Platform) (Result, error){
+		"Area": Area, "AreaInt": AreaInt, "CriticalPath": CriticalPath,
+	} {
+		want, err := bound(d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bound(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MakespanSec != want.MakespanSec {
+			t.Errorf("%s: merged %g s, unmerged %g s", name, got.MakespanSec, want.MakespanSec)
+		}
+	}
+}

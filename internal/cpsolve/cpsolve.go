@@ -212,32 +212,15 @@ func (pr *prob) buildGroups() {
 		pr.groupKind[k] = k
 	}
 	pr.taskGroup = make([]int32, len(pr.d.Tasks))
-	nbs := pr.d.NBs()
-	if len(nbs) == 1 && nbs[0] == 0 {
-		for _, t := range pr.d.Tasks {
-			pr.taskGroup[t.ID] = int32(t.Kind)
-		}
-		return
-	}
-	groupOf := make(map[[2]int]int, 2*graph.NumKinds)
-	present := make(map[[2]int]bool, 2*graph.NumKinds)
-	for _, t := range pr.d.Tasks {
-		if t.NB != 0 {
-			present[[2]int{t.NB, int(t.Kind)}] = true
-		}
-	}
-	for _, nb := range nbs {
-		if nb == 0 {
+	// The census is ordered by (nb, kind): sized groups append in that order.
+	groupOf := map[[2]int]int{}
+	for _, g := range pr.d.Census() {
+		if g.NB == 0 {
 			continue
 		}
-		for k := graph.Kind(0); k < graph.NumKinds; k++ {
-			if !present[[2]int{nb, int(k)}] {
-				continue
-			}
-			groupOf[[2]int{nb, int(k)}] = len(pr.groupKind)
-			pr.groupKind = append(pr.groupKind, k)
-			pr.groupNB = append(pr.groupNB, nb)
-		}
+		groupOf[[2]int{g.NB, int(g.Kind)}] = len(pr.groupKind)
+		pr.groupKind = append(pr.groupKind, g.Kind)
+		pr.groupNB = append(pr.groupNB, g.NB)
 	}
 	for _, t := range pr.d.Tasks {
 		if t.NB == 0 {

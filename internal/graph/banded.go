@@ -13,26 +13,25 @@ func BandedCholesky(p, bw int) *DAG {
 	if bw < 0 {
 		bw = 0
 	}
-	b := newBuilder("cholesky", p)
-	b.dag.Algorithm = "cholesky" // the diagonal-chain bound applies unchanged
-	for k := 0; k < p; k++ {
-		b.task(POTRF, -1, -1, k, TileRef{k, k, ReadWrite})
-		for i := k + 1; i < p && i-k <= bw; i++ {
-			b.task(TRSM, i, -1, k,
-				TileRef{k, k, Read},
-				TileRef{i, k, ReadWrite})
-		}
-		for j := k + 1; j < p && j-k <= bw; j++ {
-			b.task(SYRK, -1, j, k,
-				TileRef{j, k, Read},
-				TileRef{j, j, ReadWrite})
-			for i := j + 1; i < p && i-k <= bw; i++ {
-				b.task(GEMM, i, j, k,
-					TileRef{i, k, Read},
+	return build("cholesky", p, func(b *builder) {
+		for k := 0; k < p; k++ {
+			b.task(POTRF, -1, -1, k, TileRef{k, k, ReadWrite})
+			for i := k + 1; i < p && i-k <= bw; i++ {
+				b.task(TRSM, i, -1, k,
+					TileRef{k, k, Read},
+					TileRef{i, k, ReadWrite})
+			}
+			for j := k + 1; j < p && j-k <= bw; j++ {
+				b.task(SYRK, -1, j, k,
 					TileRef{j, k, Read},
-					TileRef{i, j, ReadWrite})
+					TileRef{j, j, ReadWrite})
+				for i := j + 1; i < p && i-k <= bw; i++ {
+					b.task(GEMM, i, j, k,
+						TileRef{i, k, Read},
+						TileRef{j, k, Read},
+						TileRef{i, j, ReadWrite})
+				}
 			}
 		}
-	}
-	return b.finish()
+	})
 }

@@ -10,8 +10,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -125,6 +126,15 @@ func (t *Task) Name() string {
 }
 
 // DAG is a task graph over a P×P tiled matrix.
+//
+// Structural queries — the topological order and the (kind, nb) census — are
+// answered once per DAG and cached: every bound, scheduler Init and
+// simulation asks for them, and recomputing them on a few-hundred-thousand-
+// task DAG dominated those callers at large P. So a DAG must not be mutated
+// after its first order or census query (TopoOrder, Validate, BottomLevels,
+// CriticalPath, ComputeStats, Census, Kinds, CountByKind, NBs); callers that
+// need a different DAG build a fresh one. Setting fields of a freshly built
+// DAG before any such query is fine: both caches fill lazily.
 type DAG struct {
 	Algorithm string // "cholesky", "lu", "qr"
 	P         int    // tile count per dimension
@@ -136,47 +146,81 @@ type DAG struct {
 	// deterministic code — look tiles up by coordinate instead.
 	TileNB map[[2]int]int
 
-	// Aggregates over Tasks (kind census) are computed once on first use:
-	// the bound LPs and schedulers query them per call, and rescanning a
-	// few-hundred-thousand-task DAG each time dominated their cost at large
-	// P. Callers mutating Tasks after the first Kinds/CountByKind call must
-	// work on a fresh DAG.
-	aggOnce   sync.Once
-	aggKinds  []Kind
-	aggCounts map[Kind]int
+	censusOnce sync.Once
+	census     []Group // sorted by (NB, Kind)
+
+	orderOnce sync.Once
+	order     []int
+	orderErr  error
 }
 
-// aggregates returns the cached kind census, computing it on first use.
+// Group is one class of the DAG's census: the tasks of one kernel kind at one
+// tile size. The bound LPs and the CP solver price tasks per group.
+type Group struct {
+	Kind  Kind
+	NB    int
+	Count int
+}
+
+// groups returns the cached census, computing it on first use.
 //
-//chol:hotpath queried per bound LP row and per scheduler init; steady state must not rescan
-func (d *DAG) aggregates() ([]Kind, map[Kind]int) {
-	d.aggOnce.Do(func() { //chollint:alloc one-time census build, amortized across all queries
-		counts := make(map[Kind]int, NumKinds)
-		for _, t := range d.Tasks {
-			counts[t.Kind]++
+//chol:hotpath queried per bound LP build and per scheduler init; steady state must not rescan
+func (d *DAG) groups() []Group {
+	d.censusOnce.Do(d.takeCensus) //chollint:alloc one-time census build, amortized across all queries
+	return d.census
+}
+
+// takeCensus counts the tasks per (kind, nb) group. A DAG has a handful of
+// groups, so a linear scan finds each task's.
+func (d *DAG) takeCensus() {
+	var gs []Group
+	for _, t := range d.Tasks {
+		i := 0
+		for i < len(gs) && (gs[i].Kind != t.Kind || gs[i].NB != t.NB) {
+			i++
 		}
-		kinds := make([]Kind, 0, len(counts))
-		for k := range counts {
-			kinds = append(kinds, k)
+		if i == len(gs) {
+			gs = append(gs, Group{Kind: t.Kind, NB: t.NB})
 		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-		d.aggKinds, d.aggCounts = kinds, counts
+		gs[i].Count++
+	}
+	slices.SortFunc(gs, func(a, b Group) int {
+		if c := cmp.Compare(a.NB, b.NB); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
 	})
-	return d.aggKinds, d.aggCounts
+	d.census = gs
+}
+
+// Census returns the DAG's task count per (kind, tile size) group, ordered by
+// tile size first and kind second. A uniform DAG has one group per kind, all
+// at NB 0.
+func (d *DAG) Census() []Group {
+	return slices.Clone(d.groups())
 }
 
 // Kinds returns the distinct kernel kinds present, in ascending order.
 func (d *DAG) Kinds() []Kind {
-	ks, _ := d.aggregates()
-	return append([]Kind(nil), ks...)
+	gs := d.groups()
+	if len(gs) == 0 {
+		return nil
+	}
+	ks := make([]Kind, 0, len(gs))
+	for _, g := range gs {
+		if !slices.Contains(ks, g.Kind) {
+			ks = append(ks, g.Kind)
+		}
+	}
+	slices.Sort(ks)
+	return ks
 }
 
 // CountByKind returns the number of tasks of each kind.
 func (d *DAG) CountByKind() map[Kind]int {
-	_, counts := d.aggregates()
-	c := make(map[Kind]int, len(counts))
-	for k, n := range counts {
-		c[k] = n
+	c := make(map[Kind]int, NumKinds)
+	for _, g := range d.groups() {
+		c[g.Kind] += g.Count
 	}
 	return c
 }
@@ -194,15 +238,13 @@ func (d *DAG) TileSize(i, j int) int {
 // uniform DAG yields [0]; mixed-tile DAGs yield the sizes the cost model must
 // price.
 func (d *DAG) NBs() []int {
-	seen := make(map[int]bool, 4)
-	for _, t := range d.Tasks {
-		seen[t.NB] = true
+	gs := d.groups()
+	nbs := make([]int, 0, len(gs))
+	for _, g := range gs {
+		if !slices.Contains(nbs, g.NB) {
+			nbs = append(nbs, g.NB) // ascending: the census is sorted by NB first
+		}
 	}
-	nbs := make([]int, 0, len(seen))
-	for nb := range seen {
-		nbs = append(nbs, nb)
-	}
-	sort.Ints(nbs)
 	return nbs
 }
 
@@ -219,36 +261,93 @@ func (d *DAG) Roots() []int {
 
 // TopoOrder returns a topological order of task IDs (Kahn's algorithm,
 // smallest-ID-first for determinism) or an error if the graph has a cycle.
+// The order is computed once per DAG; each call returns a fresh copy.
 func (d *DAG) TopoOrder() ([]int, error) {
+	order, err := d.topo()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(order), nil
+}
+
+// topo returns the cached topological order, computing it on first use.
+// Callers must not modify the returned slice.
+//
+//chol:hotpath queried per simulation (Validate) and per scheduler init; steady state must not re-sort
+func (d *DAG) topo() ([]int, error) {
+	d.orderOnce.Do(d.kahn) //chollint:alloc one-time order build, amortized across all queries
+	return d.order, d.orderErr
+}
+
+// kahn runs Kahn's algorithm with a binary min-heap as the frontier, so the
+// smallest ready ID always goes next: O((V+E) log V) for the order that a
+// frontier re-sorted on every pop would give.
+func (d *DAG) kahn() {
 	n := len(d.Tasks)
 	indeg := make([]int, n)
 	for _, t := range d.Tasks {
 		indeg[t.ID] = len(t.Pred)
 	}
-	// Min-heap-free deterministic Kahn: scan with a sorted frontier.
-	frontier := make([]int, 0, n)
+	// Roots in ascending ID order already form a valid min-heap.
+	var heap []int
 	for id, deg := range indeg {
 		if deg == 0 {
-			frontier = append(frontier, id)
+			heap = append(heap, id)
 		}
 	}
 	order := make([]int, 0, n)
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		id := frontier[0]
-		frontier = frontier[1:]
+	for len(heap) > 0 {
+		id := heap[0]
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		siftDown(heap)
 		order = append(order, id)
 		for _, s := range d.Tasks[id].Succ {
 			indeg[s]--
 			if indeg[s] == 0 {
-				frontier = append(frontier, s)
+				heap = append(heap, s)
+				siftUp(heap)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", len(order), n)
+		d.orderErr = fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", len(order), n)
+		return
 	}
-	return order, nil
+	d.order = order
+}
+
+// siftUp restores the min-heap property after an append.
+func siftUp(h []int) {
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the min-heap property after the root was replaced.
+func siftDown(h []int) {
+	i := 0
+	for {
+		small := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[small] {
+			small = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[small] {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
 }
 
 // Validate checks structural invariants: IDs dense and matching slice index,
@@ -275,7 +374,7 @@ func (d *DAG) Validate() error {
 			}
 		}
 	}
-	_, err := d.TopoOrder()
+	_, err := d.topo()
 	return err
 }
 
@@ -292,7 +391,7 @@ func contains(s []int, v int) bool {
 // the task to an exit task, node weights given by weight (typically a kernel
 // execution-time estimate). This is the HEFT priority used by dmdas.
 func (d *DAG) BottomLevels(weight func(*Task) float64) ([]float64, error) {
-	order, err := d.TopoOrder()
+	order, err := d.topo()
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +472,7 @@ type Stats struct {
 // ComputeStats derives the structural statistics of the DAG.
 func (d *DAG) ComputeStats() (Stats, error) {
 	st := Stats{Tasks: len(d.Tasks)}
-	order, err := d.TopoOrder()
+	order, err := d.topo()
 	if err != nil {
 		return st, err
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -662,5 +663,60 @@ func TestComputeStatsGrowsWithSize(t *testing.T) {
 	// At p=32 the DAG can saturate far more than Mirage's 12 workers.
 	if prev < 12 {
 		t.Fatalf("p=32 avg parallelism %g should exceed the worker count", prev)
+	}
+}
+
+func TestMergeKeepsTileSizes(t *testing.T) {
+	d := CholeskySplit(8, 4, 2, 960)
+	m := Merge(d)
+	if got := m.NBs(); len(got) != 2 || got[0] != 480 || got[1] != 960 {
+		t.Fatalf("merged NBs() = %v, want [480 960]", got)
+	}
+	if got, want := m.Census(), d.Census(); !slices.Equal(got, want) {
+		t.Fatalf("merged census %v, want %v", got, want)
+	}
+	for i, tk := range m.Tasks {
+		orig := d.Tasks[i]
+		if tk.NB != orig.NB {
+			t.Fatalf("task %d: NB %d, want %d", i, tk.NB, orig.NB)
+		}
+		for r, ref := range tk.Footprint {
+			o := orig.Footprint[r]
+			if m.TileSize(ref.I, ref.J) != d.TileSize(o.I, o.J) {
+				t.Fatalf("task %d: tile (%d,%d) size %d, want %d", i, ref.I, ref.J,
+					m.TileSize(ref.I, ref.J), d.TileSize(o.I, o.J))
+			}
+		}
+	}
+}
+
+func TestMergeSplitDAGsShareNoTile(t *testing.T) {
+	a, b := CholeskySplit(8, 4, 2, 960), CholeskySplit(6, 2, 3, 960)
+	m := Merge(a, b)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	owner := map[[2]int]int{}
+	for _, tk := range m.Tasks {
+		batch, src, id := 0, a, tk.ID
+		if id >= len(a.Tasks) {
+			batch, src, id = 1, b, id-len(a.Tasks)
+		}
+		orig := src.Tasks[id]
+		for r, ref := range tk.Footprint {
+			key := [2]int{ref.I, ref.J}
+			if prev, ok := owner[key]; ok && prev != batch {
+				t.Fatalf("tile %v shared by both merged DAGs", key)
+			}
+			owner[key] = batch
+			o := orig.Footprint[r]
+			if m.TileSize(ref.I, ref.J) != src.TileSize(o.I, o.J) {
+				t.Fatalf("batch %d tile %v: size %d, want %d", batch, key,
+					m.TileSize(ref.I, ref.J), src.TileSize(o.I, o.J))
+			}
+		}
+	}
+	if len(m.TileNB) != len(a.TileNB)+len(b.TileNB) {
+		t.Fatalf("merged TileNB has %d entries, want %d", len(m.TileNB), len(a.TileNB)+len(b.TileNB))
 	}
 }

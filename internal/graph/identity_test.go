@@ -93,9 +93,8 @@ func identityBuilders(p int) map[string]func() *DAG {
 	return b
 }
 
-// identityGolden pins the digest of every builder's output. It was recorded
-// before the builders moved to slab allocation and the cached heap-based
-// topological order; both must leave every DAG bit-identical.
+// identityGolden pins the digest of every builder's output: a change to the
+// builders or to the DAG's cached order must leave every DAG bit-identical.
 var identityGolden = map[string]uint64{
 	"BackwardSolve/p=-3":          0x8c723bc46238a48a,
 	"BackwardSolve/p=0":           0x816f9aefc7ae20d4,

@@ -15,36 +15,36 @@ func vecChunk(k int) TileRef {
 // a p-tiled factor: TRSV_k solves the diagonal chunk, GEMV_{i,k} (i > k)
 // applies the update b_i ← b_i − L_ik·y_k.
 func ForwardSolve(p int) *DAG {
-	b := newBuilder("forward-solve", p)
-	for k := 0; k < p; k++ {
-		b.task(TRSV, -1, -1, k,
-			TileRef{k, k, Read},
-			vecChunk(k))
-		for i := k + 1; i < p; i++ {
-			b.task(GEMV, i, -1, k,
-				TileRef{i, k, Read},
-				TileRef{k, -1, Read},
-				vecChunk(i))
+	return build("forward-solve", p, func(b *builder) {
+		for k := 0; k < p; k++ {
+			b.task(TRSV, -1, -1, k,
+				TileRef{k, k, Read},
+				vecChunk(k))
+			for i := k + 1; i < p; i++ {
+				b.task(GEMV, i, -1, k,
+					TileRef{i, k, Read},
+					TileRef{k, -1, Read},
+					vecChunk(i))
+			}
 		}
-	}
-	return b.finish()
+	})
 }
 
 // BackwardSolve builds the DAG of the tiled backward substitution
 // Lᵀ·x = y: TRSV_k (k = p−1 … 0) solves chunk k against L_kkᵀ, and
 // GEMV_{i,k} (i < k) applies y_i ← y_i − L_kiᵀ·x_k.
 func BackwardSolve(p int) *DAG {
-	b := newBuilder("backward-solve", p)
-	for k := p - 1; k >= 0; k-- {
-		b.task(TRSV, -1, -1, k,
-			TileRef{k, k, Read},
-			vecChunk(k))
-		for i := k - 1; i >= 0; i-- {
-			b.task(GEMV, i, -1, k,
-				TileRef{k, i, Read}, // L_ki with i < k: a lower tile
-				TileRef{k, -1, Read},
-				vecChunk(i))
+	return build("backward-solve", p, func(b *builder) {
+		for k := p - 1; k >= 0; k-- {
+			b.task(TRSV, -1, -1, k,
+				TileRef{k, k, Read},
+				vecChunk(k))
+			for i := k - 1; i >= 0; i-- {
+				b.task(GEMV, i, -1, k,
+					TileRef{k, i, Read}, // L_ki with i < k: a lower tile
+					TileRef{k, -1, Read},
+					vecChunk(i))
+			}
 		}
-	}
-	return b.finish()
+	})
 }

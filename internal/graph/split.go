@@ -28,102 +28,103 @@ func CholeskySplit(p, fromK, factor, nb int) *DAG {
 	if factor == 1 {
 		fromK = p // splitting by 1 converts nothing
 	}
-	b := newBuilder("cholesky", p)
 	nbFine := nb / factor
-
-	// Coarse right-looking panels, Algorithm 1 verbatim. Trailing updates for
-	// i, j ≥ fromK still run at coarse granularity: the refinement happens
-	// only once every coarse-panel contribution has been accumulated.
-	for k := 0; k < fromK; k++ {
-		b.task(POTRF, -1, -1, k, TileRef{k, k, ReadWrite}).NB = nb
-		for i := k + 1; i < p; i++ {
-			b.task(TRSM, i, -1, k,
-				TileRef{k, k, Read},
-				TileRef{i, k, ReadWrite}).NB = nb
-		}
-		for j := k + 1; j < p; j++ {
-			b.task(SYRK, -1, j, k,
-				TileRef{j, k, Read},
-				TileRef{j, j, ReadWrite}).NB = nb
-			for i := j + 1; i < p; i++ {
-				b.task(GEMM, i, j, k,
-					TileRef{i, k, Read},
-					TileRef{j, k, Read},
-					TileRef{i, j, ReadWrite}).NB = nb
-			}
-		}
-	}
-	if fromK == p {
-		return b.finish()
-	}
-
+	m := (p - fromK) * factor // fine grid side
 	// fine maps submatrix-relative fine indices to global tile coordinates.
 	fine := func(a int) int { return p + a }
-	m := (p - fromK) * factor // fine grid side
-	d := b.dag
-	d.TileNB = make(map[[2]int]int, m*(m+1)/2)
 
-	// SPLIT: one conversion task per trailing coarse tile, reading the fully
-	// updated coarse tile and writing its lower-triangle-relevant subtiles.
-	for i := fromK; i < p; i++ {
-		for j := fromK; j <= i; j++ {
-			refs := make([]TileRef, 0, 1+factor*factor)
-			refs = append(refs, TileRef{i, j, Read})
-			for a := 0; a < factor; a++ {
-				for c := 0; c < factor; c++ {
-					gi := fine((i-fromK)*factor + a)
-					gj := fine((j-fromK)*factor + c)
-					if gj > gi { // above the global diagonal: unused
-						continue
-					}
-					refs = append(refs, TileRef{gi, gj, ReadWrite})
-					d.TileNB[[2]int{gi, gj}] = nbFine
+	d := build("cholesky", p, func(b *builder) {
+		// Coarse right-looking panels, Algorithm 1 verbatim. Trailing
+		// updates for i, j ≥ fromK still run at coarse granularity: the
+		// refinement happens only once every coarse-panel contribution has
+		// been accumulated.
+		for k := 0; k < fromK; k++ {
+			b.task(POTRF, -1, -1, k, TileRef{k, k, ReadWrite}).NB = nb
+			for i := k + 1; i < p; i++ {
+				b.task(TRSM, i, -1, k,
+					TileRef{k, k, Read},
+					TileRef{i, k, ReadWrite}).NB = nb
+			}
+			for j := k + 1; j < p; j++ {
+				b.task(SYRK, -1, j, k,
+					TileRef{j, k, Read},
+					TileRef{j, j, ReadWrite}).NB = nb
+				for i := j + 1; i < p; i++ {
+					b.task(GEMM, i, j, k,
+						TileRef{i, k, Read},
+						TileRef{j, k, Read},
+						TileRef{i, j, ReadWrite}).NB = nb
 				}
 			}
-			b.task(SPLIT, i, j, -1, refs...).NB = nb
 		}
-	}
+		if m == 0 {
+			return
+		}
 
-	// Fine-granularity right-looking Cholesky over the m×m subtile grid.
-	// Indices are stored as global coordinates so fine tasks never collide
-	// with coarse ones in names or hint predicates.
-	for k := 0; k < m; k++ {
-		b.task(POTRF, -1, -1, fine(k), TileRef{fine(k), fine(k), ReadWrite}).NB = nbFine
-		for i := k + 1; i < m; i++ {
-			b.task(TRSM, fine(i), -1, fine(k),
-				TileRef{fine(k), fine(k), Read},
-				TileRef{fine(i), fine(k), ReadWrite}).NB = nbFine
+		// convert emits one conversion task per trailing coarse tile: it
+		// accesses the coarse tile with mode coarse and its lower-triangle-
+		// relevant subtiles with the other mode.
+		refs := make([]TileRef, 0, 1+factor*factor)
+		convert := func(kind Kind, coarse Access) {
+			sub := Read
+			if coarse == Read {
+				sub = ReadWrite
+			}
+			for i := fromK; i < p; i++ {
+				for j := fromK; j <= i; j++ {
+					refs = append(refs[:0], TileRef{i, j, coarse})
+					for a := 0; a < factor; a++ {
+						for c := 0; c < factor; c++ {
+							gi := fine((i-fromK)*factor + a)
+							gj := fine((j-fromK)*factor + c)
+							if gj > gi { // above the global diagonal: unused
+								continue
+							}
+							refs = append(refs, TileRef{gi, gj, sub})
+						}
+					}
+					b.task(kind, i, j, -1, refs...).NB = nb
+				}
+			}
 		}
-		for j := k + 1; j < m; j++ {
-			b.task(SYRK, -1, fine(j), fine(k),
-				TileRef{fine(j), fine(k), Read},
-				TileRef{fine(j), fine(j), ReadWrite}).NB = nbFine
-			for i := j + 1; i < m; i++ {
-				b.task(GEMM, fine(i), fine(j), fine(k),
-					TileRef{fine(i), fine(k), Read},
+
+		// SPLIT reads each fully updated coarse tile and writes its subtiles.
+		convert(SPLIT, Read)
+
+		// Fine-granularity right-looking Cholesky over the m×m subtile grid.
+		// Indices are stored as global coordinates so fine tasks never
+		// collide with coarse ones in names or hint predicates.
+		for k := 0; k < m; k++ {
+			b.task(POTRF, -1, -1, fine(k), TileRef{fine(k), fine(k), ReadWrite}).NB = nbFine
+			for i := k + 1; i < m; i++ {
+				b.task(TRSM, fine(i), -1, fine(k),
+					TileRef{fine(k), fine(k), Read},
+					TileRef{fine(i), fine(k), ReadWrite}).NB = nbFine
+			}
+			for j := k + 1; j < m; j++ {
+				b.task(SYRK, -1, fine(j), fine(k),
 					TileRef{fine(j), fine(k), Read},
-					TileRef{fine(i), fine(j), ReadWrite}).NB = nbFine
-			}
-		}
-	}
-
-	// MERGE: repack each coarse tile from its factored subtiles.
-	for i := fromK; i < p; i++ {
-		for j := fromK; j <= i; j++ {
-			refs := make([]TileRef, 0, 1+factor*factor)
-			refs = append(refs, TileRef{i, j, ReadWrite})
-			for a := 0; a < factor; a++ {
-				for c := 0; c < factor; c++ {
-					gi := fine((i-fromK)*factor + a)
-					gj := fine((j-fromK)*factor + c)
-					if gj > gi {
-						continue
-					}
-					refs = append(refs, TileRef{gi, gj, Read})
+					TileRef{fine(j), fine(j), ReadWrite}).NB = nbFine
+				for i := j + 1; i < m; i++ {
+					b.task(GEMM, fine(i), fine(j), fine(k),
+						TileRef{fine(i), fine(k), Read},
+						TileRef{fine(j), fine(k), Read},
+						TileRef{fine(i), fine(j), ReadWrite}).NB = nbFine
 				}
 			}
-			b.task(MERGE, i, j, -1, refs...).NB = nb
+		}
+
+		// MERGE repacks each coarse tile from its factored subtiles.
+		convert(MERGE, ReadWrite)
+	})
+	if m > 0 {
+		// Every fine subtile on or below the global diagonal.
+		d.TileNB = make(map[[2]int]int, m*(m+1)/2)
+		for a := 0; a < m; a++ {
+			for c := 0; c <= a; c++ {
+				d.TileNB[[2]int{fine(a), fine(c)}] = nbFine
+			}
 		}
 	}
-	return b.finish()
+	return d
 }
